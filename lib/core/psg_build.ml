@@ -7,9 +7,9 @@ open Spike_cfg
    with cores:
 
    - a {e local pass}, run per routine (in parallel when a pool is given):
-     node and edge discovery, per-edge subgraph collection and the Figure-6
-     dataflow that labels flow-summary edges — everything that reads only
-     the routine's own CFG and DEF/UBD sets.  Ids produced here are
+     node and edge discovery, then the Figure-6 dataflow that labels
+     flow-summary edges, solved once per sink block — everything that
+     reads only the routine's own CFG and DEF/UBD sets.  Ids produced here are
      routine-local, assigned in exactly the order the former single-loop
      builder produced them;
 
@@ -127,94 +127,56 @@ let local_pass ~branch_nodes ~resolve_targets r (cfg : Cfg.t) defuse =
       | Ends_switch | Ends_plain -> ())
     cfg.blocks;
   (* --- Flow-summary edges ---------------------------------------------- *)
-  let rpo = Cfg.reverse_postorder cfg in
-  let rpo_position = Array.make nblocks 0 in
-  Array.iteri (fun pos b -> rpo_position.(b) <- pos) rpo;
-  (* Stamped visited maps and dataflow scratch, reused across this
-     routine's edges. *)
-  let fwd_stamp = Array.make nblocks (-1) and bwd_stamp = Array.make nblocks (-1) in
-  let stamp = ref 0 in
-  let scratch = Edge_dataflow.create_scratch ~nblocks in
-  (* Forward reach from a source, stopping at cut blocks.  Returns the
-     sinks reached; marks fwd_stamp. *)
-  let forward_reach source =
-    incr stamp;
-    let s = !stamp in
-    let sinks = ref [] in
-    let rec visit b =
-      if fwd_stamp.(b) <> s then begin
-        fwd_stamp.(b) <- s;
-        match sink_of_block.(b) with
-        | Some sink -> if not (List.mem (sink, b) !sinks) then sinks := (sink, b) :: !sinks
-        | None -> Array.iter visit cfg.blocks.(b).succs
-      end
-    in
-    (match source.mode with
-    | At_block_start -> visit source.src_block
-    | After_block -> Array.iter visit cfg.blocks.(source.src_block).succs);
-    (s, List.rev !sinks)
-  in
-  (* Backward reach from a sink block, not crossing other cuts.  Marks
-     bwd_stamp; memoised per sink block. *)
-  let bwd_cache = Hashtbl.create 8 in
-  let backward_reach sink_block =
-    match Hashtbl.find_opt bwd_cache sink_block with
-    | Some (s, blocks) -> (s, blocks)
-    | None ->
-        incr stamp;
-        let s = !stamp in
-        let collected = Vec.create () in
-        let rec visit b =
-          if bwd_stamp.(b) <> s then begin
-            bwd_stamp.(b) <- s;
-            Vec.push collected b;
-            Array.iter
-              (fun p -> if sink_of_block.(p) = None then visit p)
-              cfg.blocks.(b).preds
-          end
-        in
-        visit sink_block;
-        let blocks = Vec.to_array collected in
-        Hashtbl.replace bwd_cache sink_block (s, blocks);
-        (s, blocks)
-  in
-  List.iter
-    (fun source ->
-      let fwd_s, sinks = forward_reach source in
-      List.iter
-        (fun (sink_node, sink_block) ->
-          let _bwd_s, bwd_blocks = backward_reach sink_block in
-          (* The subgraph of this edge: blocks on source-to-sink paths. *)
-          let subgraph =
-            Array.of_list
-              (List.filter
-                 (fun b -> fwd_stamp.(b) = fwd_s)
-                 (Array.to_list bwd_blocks))
-          in
-          let solution =
-            Edge_dataflow.solve ~scratch ~cfg ~defuse ~rpo_position ~blocks:subgraph
-              ~sink:sink_block ()
-          in
-          let label =
-            match source.mode with
-            | At_block_start -> Edge_dataflow.in_of solution source.src_block
-            | After_block ->
-                (* The branch node sits after the block's instructions:
-                   its label merges the IN sets of the dispatch
-                   targets inside the subgraph. *)
-                Array.fold_left
-                  (fun acc succ ->
-                    if Edge_dataflow.mem solution succ then
-                      Edge_dataflow.join acc (Edge_dataflow.in_of solution succ)
-                    else acc)
-                  Edge_dataflow.top_must cfg.blocks.(source.src_block).succs
-          in
-          ignore (new_edge Psg.Flow source.src_node sink_node label))
-        sinks)
+  (* First every edge is emitted, in source order and, per source, in the
+     order the forward walk reaches its sinks; labels are filled in after,
+     one solve per sink block.  [by_sink.(t)] lists the edges ending at
+     block [t] with their sources. *)
+  let by_sink = Array.make nblocks [] in
+  let fwd_stamp = Array.make nblocks (-1) in
+  List.iteri
+    (fun s source ->
+      (* Forward reach from the source, stopping at cut blocks.  The stamp
+         visits a block at most once per source, and each cut block owns
+         one sink node, so no sink is reached twice. *)
+      let rec visit b =
+        if fwd_stamp.(b) <> s then begin
+          fwd_stamp.(b) <- s;
+          match sink_of_block.(b) with
+          | Some sink_node ->
+              let edge = new_edge Psg.Flow source.src_node sink_node Edge_dataflow.top_must in
+              by_sink.(b) <- (edge, source) :: by_sink.(b)
+          | None -> Array.iter visit cfg.blocks.(b).succs
+        end
+      in
+      match source.mode with
+      | At_block_start -> visit source.src_block
+      | After_block -> Array.iter visit cfg.blocks.(source.src_block).succs)
     (List.rev !sources);
+  let edges = Vec.to_array edges in
+  let cut = Array.map Option.is_some sink_of_block in
+  let scratch = Edge_dataflow.create_scratch ~cfg ~defuse ~cut in
+  Array.iteri
+    (fun sink_block pending ->
+      if pending <> [] then begin
+        Edge_dataflow.solve scratch ~sink:sink_block;
+        List.iter
+          (fun (edge, source) ->
+            let label =
+              match source.mode with
+              | At_block_start -> Edge_dataflow.in_of scratch source.src_block
+              | After_block ->
+                  (* The branch node sits after the block's instructions:
+                     its label joins the IN sets of the dispatch targets
+                     inside the region. *)
+                  Edge_dataflow.join_succs scratch source.src_block
+            in
+            edges.(edge) <- { (edges.(edge)) with le_label = label })
+          pending
+      end)
+    by_sink;
   {
     l_kinds = Vec.to_array kinds;
-    l_edges = Vec.to_array edges;
+    l_edges = edges;
     l_calls = Vec.to_array calls;
     l_entry = List.rev !entry;
     l_exit = List.rev !exit_;

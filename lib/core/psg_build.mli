@@ -8,14 +8,17 @@
     crosses them.  A flow-summary edge is produced from source [S] (entry,
     return or branch node) to sink [T] (call, exit, unknown-exit or branch
     node) whenever a control-flow path connects their locations without
-    crossing another cut; its label is computed by {!Edge_dataflow} over
-    the subgraph of blocks on such paths.
+    crossing another cut.  Its label is the paper's Figure-6 dataflow over
+    the blocks on such paths, computed by {!Edge_dataflow} once per sink
+    block for all the edges that end there (bit-identical to one subgraph
+    solve per edge; see {!Edge_dataflow}).  Edges are emitted first, in
+    source order, and labelled after.
 
     With [branch_nodes = false] multiway branches are ordinary control
     flow, reproducing the quadratic edge blow-up measured in Table 4.
 
     Construction is split into a per-routine {e local pass} (node/edge
-    discovery and edge labelling — parallelized over a {!Spike_support.Pool}
+    discovery, then edge labelling — parallelized over a {!Spike_support.Pool}
     when one is supplied) and a sequential {e stitch pass} that assigns
     global ids by per-routine prefix sums and wires the cross-routine
     caller lists.  The local pass numbers everything in the same

@@ -43,7 +43,7 @@ let test_edge_dataflow_algebra () =
   Alcotest.check regset "in may_def" (rs [ 2; 3; 4 ]) inn.Edge_dataflow.may_def;
   Alcotest.check regset "in must_def" (rs [ 2; 3; 4 ]) inn.Edge_dataflow.must_def
 
-(* A loop inside a flow-summary edge subgraph: Figure 6 must converge. *)
+(* A loop inside a sink's region: Figure 6 must converge. *)
 let test_edge_dataflow_loop () =
   let g =
     routine "g"
@@ -56,14 +56,10 @@ let test_edge_dataflow_loop () =
   in
   let cfg = Spike_cfg.Cfg.build g in
   let defuse = Spike_cfg.Defuse.compute cfg in
-  let rpo = Spike_cfg.Cfg.reverse_postorder cfg in
-  let rpo_position = Array.make (Spike_cfg.Cfg.block_count cfg) 0 in
-  Array.iteri (fun i b -> rpo_position.(b) <- i) rpo;
-  let blocks = Array.init (Spike_cfg.Cfg.block_count cfg) Fun.id in
   let exit_block = List.hd (Spike_cfg.Cfg.exit_blocks cfg) in
-  let sol =
-    Edge_dataflow.solve ~cfg ~defuse ~rpo_position ~blocks ~sink:exit_block ()
-  in
+  let cut = Array.init (Spike_cfg.Cfg.block_count cfg) (fun b -> b = exit_block) in
+  let sol = Edge_dataflow.create_scratch ~cfg ~defuse ~cut in
+  Edge_dataflow.solve sol ~sink:exit_block;
   let at_entry = Edge_dataflow.in_of sol 0 in
   check_restricted "loop may_use" ~over:(rs [ r1; r2 ])
     (rs [ r1 ])
@@ -71,6 +67,48 @@ let test_edge_dataflow_loop () =
   check_restricted "loop must_def" ~over:(rs [ r1; r2 ])
     (rs [ r2 ])
     at_entry.Edge_dataflow.must_def
+
+(* Every flow edge label equals the paper's per-edge subgraph solve.  The
+   program is built to hit each case the per-sink solve must get right:
+   - a two-entry routine whose second entry heads a loop;
+   - a switch inside the loop whose table includes its own block (a branch
+     source that is also its own sink);
+   - two switch arms that merge before the exit (a branch label joins
+     several dispatch targets);
+   - an entry block that ends in a call (an entry source whose sink is its
+     own block). *)
+let test_edge_dataflow_figure6_oracle () =
+  let leaf = routine "leaf" [ (None, li r0 1); (None, ret) ] in
+  let multi =
+    routine ~entries:[ "multi$a"; "multi$b" ] "multi"
+      [
+        (Some "multi$a", li r1 1);
+        (Some "multi$b", use r1);
+        (None, li r2 2);
+        (Some "sw", switch r3 [ "sw"; "arm1"; "arm2"; "arm3" ]);
+        (Some "arm1", call "leaf");
+        (None, add r1 r1 r2);
+        (None, bne r1 "multi$b");
+        (None, br "sw");
+        (Some "arm2", li r0 3);
+        (Some "arm3", use r2);
+        (None, ret);
+      ]
+  in
+  let main = routine "main" [ (None, call "multi"); (None, call "leaf"); (None, ret) ] in
+  let p = program ~main:"main" [ main; multi; leaf ] in
+  List.iter
+    (fun branch_nodes ->
+      let cov = check_figure6_labels ~branch_nodes p in
+      let covered what n =
+        if n = 0 then Alcotest.failf "branch_nodes=%b: no %s edge" branch_nodes what
+      in
+      covered "flow" cov.edges;
+      if branch_nodes then covered "branch-source" cov.branch_sources;
+      covered "same-block" cov.same_block;
+      covered "multi-entry" cov.multi_entry;
+      covered "looping" cov.looping)
+    [ true; false ]
 
 (* --- Callee_saved --------------------------------------------------------- *)
 
@@ -426,6 +464,7 @@ let () =
         [
           Alcotest.test_case "algebra" `Quick test_edge_dataflow_algebra;
           Alcotest.test_case "loop convergence" `Quick test_edge_dataflow_loop;
+          Alcotest.test_case "figure-6 oracle" `Quick test_edge_dataflow_figure6_oracle;
         ] );
       ( "callee-saved",
         [

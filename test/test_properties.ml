@@ -123,6 +123,18 @@ let prop_branch_nodes_invariant =
       let b = Analysis.run ~branch_nodes:false p in
       Array.for_all2 class_equal a.Analysis.call_classes b.Analysis.call_classes)
 
+(* The PSG's flow-edge labels (one solve per sink block) against the
+   paper's construction (one subgraph solve per edge), with and without
+   branch nodes. *)
+let prop_flow_labels_figure6 =
+  QCheck.Test.make ~name:"flow edge labels = per-edge figure-6 solve" ~count:30
+    arbitrary_params (fun params ->
+      let p = Generator.generate params in
+      List.iter
+        (fun branch_nodes -> ignore (Test_helpers.check_figure6_labels ~branch_nodes p))
+        [ true; false ];
+      true)
+
 let prop_asm_roundtrip =
   QCheck.Test.make ~name:"assembly print/parse roundtrip" ~count:60 arbitrary_params
     (fun params ->
@@ -205,6 +217,7 @@ let () =
             prop_generated_valid;
             prop_psg_equals_reference;
             prop_branch_nodes_invariant;
+            prop_flow_labels_figure6;
             prop_asm_roundtrip;
             prop_summaries_roundtrip;
             prop_opt_preserves_outcome;
