@@ -124,8 +124,9 @@ let bechamel_tests () =
         let psg =
           Spike_core.Psg_build.build ~entry_filters:filters program cfgs defuses
         in
-        ignore (Spike_core.Phase1.run psg);
-        ignore (Spike_core.Phase2.run psg)));
+        let sched = Spike_core.Sched.make psg in
+        ignore (Spike_core.Phase1.run ~sched psg);
+        ignore (Spike_core.Phase2.run ~sched psg)));
     Test.make ~name:"figure14/analysis-2x-scale" (Staged.stage (fun () ->
         let p =
           Generator.generate

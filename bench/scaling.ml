@@ -4,10 +4,10 @@
 
    Each calibrated workload is generated once, then analysed end to end at
    jobs = 1, 2, 4, 8.  The front-end columns (CFG build + initialization +
-   PSG build) isolate the per-routine part; since schema v4 the phase
-   fixpoints run under the SCC-condensation schedule too, and the [scc]
-   section compares their iteration counts and stage times against the
-   FIFO baseline and across jobs settings. *)
+   PSG build) isolate the per-routine part; the phase fixpoints run under
+   the SCC-condensation schedule, and the [scc] section records their
+   iteration counts and the schedule and phase stage times across jobs
+   settings. *)
 
 open Spike_support
 open Spike_core
@@ -81,21 +81,22 @@ let measure ~scale =
 
 (* --- The SCC-schedule study --------------------------------------------- *)
 
-(* What the condensation schedule buys over the FIFO worklists, in the
-   schedule-independent currency of node recomputations, and what the
-   parallel dispatch of independent components does to the phase-stage
-   wall clock.  Iteration counts are deterministic per component, so the
-   SCC serial and SCC parallel columns must agree exactly — asserted
-   here, along with bit-identical summaries across all three drivers. *)
+(* What the parallel dispatch of independent components does to the
+   schedule and phase-stage wall clock.  Iteration counts are
+   deterministic per component, so the serial and parallel columns must
+   agree exactly — asserted here, along with bit-identical summaries. *)
 
-type scc_phase_point = { sp_jobs : int; sp_phase1_s : float; sp_phase2_s : float }
+type scc_phase_point = {
+  sp_jobs : int;
+  sp_sched_s : float;
+  sp_phase1_s : float;
+  sp_phase2_s : float;
+}
 
 type scc_study = {
   scc_workload : string;
   scc_count : int;
   largest_scc : int;
-  p1_fifo : int;
-  p2_fifo : int;
   p1_scc : int;
   p2_scc : int;
   p1_par : int;
@@ -106,16 +107,14 @@ type scc_study = {
 let scc_jobs_list = [ 1; 2; 4 ]
 
 let measure_scc ~workload ~program =
-  let fifo = Analysis.run ~jobs:1 ~phase_sched:`Fifo program in
-  let scc1 = Analysis.run ~jobs:1 ~phase_sched:`Scc program in
-  let par = Analysis.run ~jobs:4 ~phase_sched:`Scc program in
-  (* The fixpoint is unique: every driver must land on the same summaries,
-     and the per-component iteration counts must not depend on jobs. *)
-  assert (scc1.Analysis.summaries = fifo.Analysis.summaries);
-  assert (par.Analysis.summaries = fifo.Analysis.summaries);
+  let scc1 = Analysis.run ~jobs:1 program in
+  let par = Analysis.run ~jobs:4 program in
+  (* The fixpoint is unique, and the per-component iteration counts must
+     not depend on jobs. *)
+  assert (par.Analysis.summaries = scc1.Analysis.summaries);
   assert (scc1.Analysis.phase1_iterations = par.Analysis.phase1_iterations);
   assert (scc1.Analysis.phase2_iterations = par.Analysis.phase2_iterations);
-  let scc = Psg.call_scc fifo.Analysis.psg in
+  let scc = Psg.call_scc scc1.Analysis.psg in
   let phase_points =
     List.map
       (fun jobs ->
@@ -124,21 +123,26 @@ let measure_scc ~workload ~program =
           let a = Analysis.run ~jobs program in
           let stages = Timer.stages a.Analysis.timer in
           let get n = try List.assoc n stages with Not_found -> 0.0 in
-          let p1 = get Analysis.stage_phase1 and p2 = get Analysis.stage_phase2 in
+          let p =
+            {
+              sp_jobs = jobs;
+              sp_sched_s = get Analysis.stage_sched;
+              sp_phase1_s = get Analysis.stage_phase1;
+              sp_phase2_s = get Analysis.stage_phase2;
+            }
+          in
+          let total p = p.sp_sched_s +. p.sp_phase1_s +. p.sp_phase2_s in
           match !best with
-          | Some (b1, b2) when b1 +. b2 <= p1 +. p2 -> ()
-          | _ -> best := Some (p1, p2)
+          | Some b when total b <= total p -> ()
+          | _ -> best := Some p
         done;
-        let sp_phase1_s, sp_phase2_s = Option.get !best in
-        { sp_jobs = jobs; sp_phase1_s; sp_phase2_s })
+        Option.get !best)
       scc_jobs_list
   in
   {
     scc_workload = workload;
     scc_count = scc.Scc.count;
     largest_scc = Scc.largest scc;
-    p1_fifo = fifo.Analysis.phase1_iterations;
-    p2_fifo = fifo.Analysis.phase2_iterations;
     p1_scc = scc1.Analysis.phase1_iterations;
     p2_scc = scc1.Analysis.phase2_iterations;
     p1_par = par.Analysis.phase1_iterations;
@@ -303,7 +307,7 @@ let json_of_points buf ~scale points sccs stores =
   let field_sep = ref "" in
   let addf fmt = Printf.bprintf buf fmt in
   addf "{\n";
-  addf "  \"schema\": \"spike-bench-psg/4\",\n";
+  addf "  \"schema\": \"spike-bench-psg/5\",\n";
   addf "  \"scale\": %.4f,\n" scale;
   addf "  \"recommended_domains\": %d,\n" (Domain.recommended_domain_count ());
   addf
@@ -348,29 +352,21 @@ let json_of_points buf ~scale points sccs stores =
       scc_sep := ",";
       addf " \"workload\": \"%s\", \"scc_count\": %d, \"largest_scc\": %d,"
         s.scc_workload s.scc_count s.largest_scc;
-      addf "\n      \"phase1_iterations\": { \"fifo\": %d, \"scc\": %d, \"parallel_jobs4\": %d },"
-        s.p1_fifo s.p1_scc s.p1_par;
-      addf "\n      \"phase2_iterations\": { \"fifo\": %d, \"scc\": %d, \"parallel_jobs4\": %d },"
-        s.p2_fifo s.p2_scc s.p2_par;
-      let fifo_total = s.p1_fifo + s.p2_fifo and scc_total = s.p1_scc + s.p2_scc in
-      addf "\n      \"iteration_reduction\": %.4f,"
-        (if fifo_total > 0 then
-           1.0 -. (float_of_int scc_total /. float_of_int fifo_total)
-         else 0.0);
+      addf "\n      \"phase1_iterations\": { \"scc\": %d, \"parallel_jobs4\": %d },"
+        s.p1_scc s.p1_par;
+      addf "\n      \"phase2_iterations\": { \"scc\": %d, \"parallel_jobs4\": %d },"
+        s.p2_scc s.p2_par;
       addf "\n      \"phase_stage\": [";
-      let base =
-        match s.phase_points with
-        | p :: _ -> p.sp_phase1_s +. p.sp_phase2_s
-        | [] -> 0.0
-      in
+      let total p = p.sp_sched_s +. p.sp_phase1_s +. p.sp_phase2_s in
+      let base = match s.phase_points with p :: _ -> total p | [] -> 0.0 in
       List.iteri
         (fun i p ->
-          let t = p.sp_phase1_s +. p.sp_phase2_s in
+          let t = total p in
           addf
-            "%s{ \"jobs\": %d, \"phase1_s\": %.6f, \"phase2_s\": %.6f, \
-             \"speedup\": %.2f }"
+            "%s{ \"jobs\": %d, \"sched_s\": %.6f, \"phase1_s\": %.6f, \
+             \"phase2_s\": %.6f, \"speedup\": %.2f }"
             (if i = 0 then " " else ", ")
-            p.sp_jobs p.sp_phase1_s p.sp_phase2_s
+            p.sp_jobs p.sp_sched_s p.sp_phase1_s p.sp_phase2_s
             (if t > 0.0 then base /. t else 0.0))
         s.phase_points;
       addf " ] }")
@@ -462,26 +458,22 @@ let print ?(json_path = "BENCH_psg.json") ppf ~scale () =
         ps;
       Format.fprintf ppf "%s@." (String.make 78 '-'))
     by_workload;
-  Format.fprintf ppf "@.=== SCC-condensation schedule vs. the FIFO worklists@.";
+  Format.fprintf ppf "@.=== SCC-condensation schedule and phase fixpoints@.";
   Format.fprintf ppf
     "(iterations = node recomputations, deterministic per component, so \
-     the scc column is identical at every jobs setting; phase times are \
-     best of 3)@.";
+     identical at every jobs setting; stage times are the best of 3 by \
+     their sum)@.";
   Format.fprintf ppf "%s@." (String.make 78 '-');
-  Format.fprintf ppf "%-10s %6s %8s %12s %12s %9s@." "workload" "sccs" "largest"
-    "p1+p2 fifo" "p1+p2 scc" "reduction";
+  Format.fprintf ppf "%-10s %6s %8s %12s %12s@." "workload" "sccs" "largest"
+    "p1 iters" "p2 iters";
   List.iter
     (fun s ->
-      let fifo_total = s.p1_fifo + s.p2_fifo and scc_total = s.p1_scc + s.p2_scc in
-      Format.fprintf ppf "%-10s %6d %8d %12d %12d %8.1f%%@." s.scc_workload
-        s.scc_count s.largest_scc fifo_total scc_total
-        (if fifo_total > 0 then
-           100.0 *. (1.0 -. (float_of_int scc_total /. float_of_int fifo_total))
-         else 0.0);
+      Format.fprintf ppf "%-10s %6d %8d %12d %12d@." s.scc_workload s.scc_count
+        s.largest_scc s.p1_scc s.p2_scc;
       List.iter
         (fun p ->
-          Format.fprintf ppf "%-10s   jobs=%d  phase1 %.4fs  phase2 %.4fs@."
-            "" p.sp_jobs p.sp_phase1_s p.sp_phase2_s)
+          Format.fprintf ppf "%-10s   jobs=%d  sched %.4fs  phase1 %.4fs  phase2 %.4fs@."
+            "" p.sp_jobs p.sp_sched_s p.sp_phase1_s p.sp_phase2_s)
         s.phase_points;
       Format.fprintf ppf "%s@." (String.make 78 '-'))
     sccs;

@@ -16,7 +16,7 @@ type t = {
   externals : string -> Psg.external_class option;
   callee_saved_filter : bool;
   jobs : int;
-  phase_sched : [ `Fifo | `Scc ];
+  phase_sched : [ `Scc ];
   reused_routines : int;
   warm_capture : Warm.routine_art array option;
 }
@@ -73,15 +73,12 @@ let c_reused = Spike_obs.Metrics.counter "warm.routines.reused"
 let c_rebuilt = Spike_obs.Metrics.counter "warm.routines.rebuilt"
 
 (* The condensation schedule both phases share.  Built once per run —
-   it only depends on the call graph — and timed as its own stage so the
-   bench can show it is amortized by the iteration savings. *)
-let build_sched ~phase_sched ~pool ~timer psg =
-  match phase_sched with
-  | `Fifo -> None
-  | `Scc -> Some (record_stage timer stage_sched (fun () -> Sched.make ~pool psg))
+   it only depends on the call graph — and timed as its own stage. *)
+let build_sched ~pool ~timer psg =
+  record_stage timer stage_sched (fun () -> Sched.make ~pool psg)
 
-let run_cold ~branch_nodes ~externals ~callee_saved_filter ~jobs ~phase_sched
-    ~pool ~timer program =
+let run_cold ~branch_nodes ~externals ~callee_saved_filter ~jobs ~pool ~timer
+    program =
   let routines = Program.routines program in
   let cfgs =
     record_stage timer stage_cfg_build (fun () ->
@@ -116,18 +113,18 @@ let run_cold ~branch_nodes ~externals ~callee_saved_filter ~jobs ~phase_sched
     let stats = Psg_stats.of_psg psg in
     List.iter (fun (c, get) -> Spike_obs.Metrics.add c (get stats)) psg_counters
   end;
-  (* Phases 1 and 2 are global fixpoints over the whole PSG; under the
-     SCC schedule they run one call-graph component at a time, with
-     independent components dispatched to the pool. *)
-  let sched = build_sched ~phase_sched ~pool ~timer psg in
+  (* Phases 1 and 2 are global fixpoints over the whole PSG; they run
+     one call-graph component at a time, with independent components
+     dispatched to the pool. *)
+  let sched = build_sched ~pool ~timer psg in
   let phase1_iterations, call_classes =
     record_stage timer stage_phase1 (fun () ->
-        let iterations = Phase1.run ?sched psg in
+        let iterations = Phase1.run ~sched psg in
         (iterations, Summary.extract_call_classes psg))
   in
   let phase2_iterations, summaries =
     record_stage timer stage_phase2 (fun () ->
-        let iterations = Phase2.run ?sched psg in
+        let iterations = Phase2.run ~sched psg in
         (iterations, Summary.extract psg call_classes))
   in
   {
@@ -144,7 +141,7 @@ let run_cold ~branch_nodes ~externals ~callee_saved_filter ~jobs ~phase_sched
     externals;
     callee_saved_filter;
     jobs;
-    phase_sched;
+    phase_sched = `Scc;
     reused_routines = 0;
     warm_capture = None;
   }
@@ -157,8 +154,8 @@ let run_cold ~branch_nodes ~externals ~callee_saved_filter ~jobs ~phase_sched
    the invalidation cones the planners close.  With an all-cold plan the
    cones cover every node, so this degenerates to the cold run — which is
    how [capture]-only runs keep bit-identical results. *)
-let run_warm ~branch_nodes ~externals ~callee_saved_filter ~jobs ~phase_sched
-    ~pool ~timer ~(plan : Warm.plan) ~capture program =
+let run_warm ~branch_nodes ~externals ~callee_saved_filter ~jobs ~pool ~timer
+    ~(plan : Warm.plan) ~capture program =
   let routines = Program.routines program in
   let n = Array.length routines in
   let reused_routines = Warm.reused plan in
@@ -224,14 +221,14 @@ let run_warm ~branch_nodes ~externals ~callee_saved_filter ~jobs ~phase_sched
     Spike_obs.Trace.with_span "warm.lift" (fun () ->
         Warm.solutions plan ~program ~locals ~filters:entry_filters)
   in
-  let sched = build_sched ~phase_sched ~pool ~timer psg in
+  let sched = build_sched ~pool ~timer psg in
   let phase1_iterations, call_classes, p1_nodes, p1_cr =
     record_stage timer stage_phase1 (fun () ->
         let w1 =
           Spike_obs.Trace.with_span "warm.phase1_plan" (fun () ->
               Warm.phase1_plan psg ~sols ~node_offset ~call_offset)
         in
-        let iterations = Phase1.run ~warm:w1 ?sched psg in
+        let iterations = Phase1.run ~warm:w1 ~sched psg in
         let p1_nodes, p1_cr = Warm.snapshot_phase1 psg in
         (iterations, Summary.extract_call_classes psg, p1_nodes, p1_cr))
   in
@@ -242,7 +239,7 @@ let run_warm ~branch_nodes ~externals ~callee_saved_filter ~jobs ~phase_sched
               Warm.phase2_plan psg ~sols ~exit_seeds ~node_offset ~call_offset
                 ~p1_cr)
         in
-        let iterations = Phase2.run ~warm:w2 ?sched psg in
+        let iterations = Phase2.run ~warm:w2 ~sched psg in
         (iterations, Summary.extract psg call_classes))
   in
   let warm_capture =
@@ -267,14 +264,13 @@ let run_warm ~branch_nodes ~externals ~callee_saved_filter ~jobs ~phase_sched
     externals;
     callee_saved_filter;
     jobs;
-    phase_sched;
+    phase_sched = `Scc;
     reused_routines;
     warm_capture;
   }
 
 let run ?(branch_nodes = true) ?(externals = fun _ -> None)
-    ?(callee_saved_filter = true) ?jobs ?(phase_sched = `Scc) ?warm
-    ?(capture = false) program =
+    ?(callee_saved_filter = true) ?jobs ?warm ?(capture = false) program =
   let jobs =
     match jobs with Some j -> max 1 (min j 64) | None -> Pool.default_jobs ()
   in
@@ -284,19 +280,18 @@ let run ?(branch_nodes = true) ?(externals = fun _ -> None)
       Spike_obs.Metrics.add c_routines (Program.routine_count program);
       match (warm, capture) with
       | None, false ->
-          run_cold ~branch_nodes ~externals ~callee_saved_filter ~jobs
-            ~phase_sched ~pool ~timer program
+          run_cold ~branch_nodes ~externals ~callee_saved_filter ~jobs ~pool
+            ~timer program
       | _ ->
           let plan =
             match warm with Some p -> p | None -> Warm.cold program
           in
-          run_warm ~branch_nodes ~externals ~callee_saved_filter ~jobs
-            ~phase_sched ~pool ~timer ~plan ~capture program)
+          run_warm ~branch_nodes ~externals ~callee_saved_filter ~jobs ~pool
+            ~timer ~plan ~capture program)
 
 let rerun t program =
   run ~branch_nodes:t.branch_nodes ~externals:t.externals
-    ~callee_saved_filter:t.callee_saved_filter ~jobs:t.jobs
-    ~phase_sched:t.phase_sched program
+    ~callee_saved_filter:t.callee_saved_filter ~jobs:t.jobs program
 
 let summary_of t name = Summary.find t.summaries t.program name
 let site_class t info = Summary.site_class t.psg t.call_classes info

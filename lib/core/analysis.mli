@@ -12,7 +12,7 @@
     under the stage-name constants below.  When {!Spike_obs.Trace} (resp.
     {!Spike_obs.Metrics}) collection is enabled, each stage is also
     recorded as a span — with per-routine sub-spans on the lane of the
-    pool domain that ran them — and the registry accumulates worklist,
+    pool domain that ran them — and the registry accumulates mark, sweep,
     edge-labelling-dataflow, PSG-composition and heap-gauge metrics; the
     [phase1.iterations] / [phase2.iterations] counters match the
     [phase1_iterations] / [phase2_iterations] fields exactly.  Disabled
@@ -36,9 +36,12 @@ type t = {
   externals : string -> Psg.external_class option;
   callee_saved_filter : bool;
   jobs : int;
-      (** parallelism degree the front-end stages and (under the SCC
-          schedule) the phase fixpoints ran with *)
-  phase_sched : [ `Fifo | `Scc ];  (** configuration, for {!rerun} *)
+      (** parallelism degree the front-end stages and the phase fixpoints
+          ran with *)
+  phase_sched : [ `Scc ];
+      (** always [`Scc]; kept only so that record literals built outside
+          this library (the benchmark's layered pipeline) keep compiling,
+          and to be removed with them *)
   reused_routines : int;
       (** routines whose front-end artifacts came from the warm plan *)
   warm_capture : Warm.routine_art array option;
@@ -50,7 +53,7 @@ val stage_init : string
 val stage_psg_build : string
 
 val stage_sched : string
-(** Building the {!Sched} condensation schedule (SCC mode only). *)
+(** Building the {!Sched} condensation schedule. *)
 
 val stage_phase1 : string
 val stage_phase2 : string
@@ -60,7 +63,6 @@ val run :
   ?externals:(string -> Psg.external_class option) ->
   ?callee_saved_filter:bool ->
   ?jobs:int ->
-  ?phase_sched:[ `Fifo | `Scc ] ->
   ?warm:Warm.plan ->
   ?capture:bool ->
   Program.t ->
@@ -78,20 +80,11 @@ val run :
     [Domain.recommended_domain_count] clamped; explicit values are clamped
     to [[1, 64]]) is the number of domains the per-routine front-end
     stages — CFG build, initialization and the PSG local pass — run on,
-    and, under the SCC schedule, the number of domains independent
-    call-graph components of the phase 1 / phase 2 fixpoints are
-    dispatched to.  Results are bit-identical for every [jobs] value.
+    and the number of domains independent call-graph components of the
+    phase 1 / phase 2 fixpoints are dispatched to ({!Sched}).  Results are bit-identical for every [jobs] value.
     With [jobs > 1], [externals] is called concurrently and must be
     thread-safe.  Stage times recorded in [timer] are wall-clock, so a
     parallel stage reports its elapsed time, not the sum over domains.
-
-    [phase_sched] (default [`Scc]) selects the phase fixpoint driver:
-    [`Scc] processes call-graph SCCs in condensation order ({!Sched}) and
-    is both faster (callee summaries are converged before any caller
-    reads them) and parallel; [`Fifo] is the single-worklist baseline,
-    kept for measurement and differential testing.  Both converge to the
-    same unique fixpoint, so summaries are bit-identical across drivers
-    and [jobs] values.
 
     [warm] supplies a {!Warm.plan} of per-routine artifacts from an
     earlier run of the {e same} program configuration (modulo the edits

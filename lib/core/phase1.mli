@@ -21,7 +21,7 @@
 type warm = {
   cone : bool array;
       (** node id [->] the node is inside the invalidation cone: it gets
-          the cold initialization and is seeded onto the worklist *)
+          the cold initialization and is marked for the first sweep *)
   restore : int array;
       (** previously converged (MAY-USE, MAY-DEF, MUST-DEF), packed as six
           32-bit halves per node id, installed verbatim for nodes outside
@@ -42,20 +42,20 @@ type warm = {
     nodes restart from the lattice bottom and outside nodes already hold
     their (unique, least) fixpoint values. *)
 
-val run : ?warm:warm -> ?sched:Sched.t -> Psg.t -> int
+val run : ?warm:warm -> sched:Sched.t -> Psg.t -> int
 (** Runs to convergence, mutating the node sets and the call-return edge
     labels in place (flow edge labels are never modified).  Returns the
     number of node recomputations performed, a diagnostic for the
-    convergence behaviour.  [warm] restricts initialization and worklist
-    seeding to the invalidation cone; omitted, every node is (re)computed
-    from scratch.
+    convergence behaviour.  [warm] restricts initialization and seeding
+    to the invalidation cone; omitted, every node is (re)computed from
+    scratch.
 
-    [sched] runs the fixpoint one call-graph SCC at a time in callee-first
+    The fixpoint runs one call-graph SCC at a time in callee-first
     topological order (see {!Sched}): each component's call-return edges
     are seeded from already-converged callee summaries, so iteration is
-    confined to intra-component cycles.  With a multi-domain pool in the
-    schedule, independent components run concurrently.  The fixpoint
-    reached is bit-identical to the FIFO baseline ([sched] omitted) in
-    every mode — the equation system is monotone over a finite lattice, so
-    its solution is unique and schedule-independent.  Composes with
-    [warm]: only components intersecting the cone are executed. *)
+    confined to intra-component cycles, which {!Sched.drain} sweeps until
+    they settle.  With a multi-domain pool in the schedule, independent
+    components run concurrently.  The equation system is monotone over a
+    finite lattice, so its solution is unique and the result is
+    bit-identical for every [jobs] value.  Composes with [warm]: only
+    components intersecting the cone are executed. *)

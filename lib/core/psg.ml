@@ -107,7 +107,6 @@ let call_graph t =
   Array.map (fun callees -> Array.of_list (List.sort_uniq Int.compare callees)) succs
 
 let call_scc t = Scc.compute ~succs:(call_graph t)
-let callee_first_order t = Scc.topological (call_scc t)
 
 let kind_string t kind =
   let rname r = (Program.get t.program r).Routine.name in

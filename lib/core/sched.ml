@@ -3,24 +3,11 @@ open Spike_support
 type t = {
   scc : Scc.t;
   comp_of_node : int array;
-  comp_nodes_p1 : int array array;
-  comp_cend_p1 : int array array;
-  comp_flat_p1 : int array array;
-  comp_nodes_p2 : int array array;
-  comp_cend_p2 : int array array;
-  comp_flat_p2 : int array array;
+  order_p1 : int array array;
+  order_p2 : int array array;
   comp_calls : int array array;
   pool : Pool.t option;
 }
-
-(* Work items of the iterative WTO construction: decompose a vertex set,
-   emit a trivial vertex, emit a dependency knot, or patch the end offset
-   of a finished head-knot. *)
-type wtask =
-  | Wset of int array
-  | Wnode of int
-  | Wknot of int array
-  | Wclose of int
 
 (* Observability: component counts let a trace distinguish "many small
    components" (schedule-friendly) from "one giant recursion knot". *)
@@ -31,167 +18,52 @@ let make ?pool (psg : Psg.t) =
   let scc = Psg.call_scc psg in
   Spike_obs.Metrics.add c_comps scc.Scc.count;
   let n = Psg.node_count psg in
+  let routines = Array.length scc.Scc.comp_of in
   let comp_of_node = Array.make n 0 in
+  let routine_of = Array.make n 0 in
+  (* Counting sort of the node ids by routine, each routine's ids
+     descending: the local pass numbers entries first and the rest in
+     block layout order, so this mostly puts nodes before their readers. *)
+  let start = Array.make (routines + 1) 0 in
   Array.iter
     (fun (node : Psg.node) ->
-      comp_of_node.(node.Psg.id) <- scc.Scc.comp_of.(Psg.node_routine node.Psg.kind))
+      let r = Psg.node_routine node.Psg.kind in
+      routine_of.(node.Psg.id) <- r;
+      comp_of_node.(node.Psg.id) <- scc.Scc.comp_of.(r);
+      start.(r + 1) <- start.(r + 1) + 1)
     psg.Psg.nodes;
-  (* Per-phase dependency graphs: [deps.(u)] lists the nodes whose sets
-     [u]'s recomputation reads.  Both phases read through outgoing flow
-     edges; phase 1 additionally reads callee entry nodes at call nodes
-     (through the call-return edge label), phase 2 reads caller return
-     nodes at exit nodes (through the return links). *)
-  let flow_deps u =
-    List.map
-      (fun e -> psg.Psg.edges.(e).Psg.dst)
-      (Array.to_list psg.Psg.out_edges.(u))
+  for r = 1 to routines do
+    start.(r) <- start.(r) + start.(r - 1)
+  done;
+  let fill = Array.sub start 0 (max routines 1) in
+  let by_routine = Array.make n 0 in
+  for id = n - 1 downto 0 do
+    let r = routine_of.(id) in
+    by_routine.(fill.(r)) <- id;
+    fill.(r) <- fill.(r) + 1
+  done;
+  let order_of members =
+    let size =
+      Array.fold_left (fun acc r -> acc + start.(r + 1) - start.(r)) 0 members
+    in
+    let order = Array.make size 0 in
+    let pos = ref 0 in
+    Array.iter
+      (fun r ->
+        let len = start.(r + 1) - start.(r) in
+        Array.blit by_routine start.(r) order !pos len;
+        pos := !pos + len)
+      members;
+    order
   in
-  let p1_extra = Array.make n [] and p2_extra = Array.make n [] in
-  Array.iter
-    (fun (info : Psg.call_info) ->
-      match info.Psg.targets with
-      | None -> ()
-      | Some targets ->
-          List.iter
-            (fun target ->
-              match target with
-              | Psg.Target_external _ -> ()
-              | Psg.Target_routine r ->
-                  p1_extra.(info.Psg.call_node) <-
-                    Psg.primary_entry_node psg r :: p1_extra.(info.Psg.call_node);
-                  List.iter
-                    (fun exit_node ->
-                      p2_extra.(exit_node) <-
-                        info.Psg.return_node :: p2_extra.(exit_node))
-                    psg.Psg.exit_nodes.(r))
-            targets)
-    psg.Psg.calls;
-  let deps extra =
-    Array.init n (fun u -> Array.of_list (flow_deps u @ extra.(u)))
+  let order_p1 = Array.map order_of scc.Scc.members in
+  let order_p2 =
+    Array.map
+      (fun ms ->
+        let k = Array.length ms in
+        order_of (Array.init k (fun i -> ms.(k - 1 - i))))
+      scc.Scc.members
   in
-  (* Node-level refinement: a weak topological order (Bourdoncle) of each
-     phase's dependency graph, per call-graph component.  The component's
-     nodes are SCC-decomposed; a dependency knot (CFG loop, recursion
-     spine) becomes head + recursively decomposed remainder, because
-     every cycle of the knot passes through its DFS root — so iterating a
-     knot until its {e head} is stable, with nested knots stabilized
-     recursively, converges it.  Readers then see a knot's final values
-     exactly once, instead of once per lattice-ascent step.
-
-     Node-level components never cross call-graph components (flow edges
-     stay inside a routine, the extra deps follow call-graph edges), so
-     the decomposition is run independently per component.  [Scc] numbers
-     components reverse-topologically, so ascending order is reads-first
-     at every level.
-
-     Head removal converges fast on intra-routine knots — CFG loop nests
-     are shallow — but peels a dense multi-routine recursion knot one
-     vertex per level, each level re-running an SCC pass: quadratic.  So
-     a knot spanning several routines is instead emitted as a {e flat
-     region}: its routines in callee-first order, each routine's nodes
-     recursively decomposed (their knots are intra-routine again), the
-     whole region swept until a pass pops nothing.  The outer sweep pays
-     for the cross-routine recursion coupling only, while CFG loops
-     inside still stabilize locally.  A work budget backstops the head
-     peeling; exhausted, knots are emitted as unrefined flat regions.
-
-     The output per component is its nodes in WTO order, a parallel
-     [cend] array — [cend.(i) = 0] for a trivial element, [cend.(i) = e]
-     when a head-knot at [i] spans [i, e) — and the flat regions as
-     [start; end) pairs, ascending and disjoint. *)
-  let comp_members =
-    let acc = Array.make (max scc.Scc.count 1) [] in
-    for id = n - 1 downto 0 do
-      acc.(comp_of_node.(id)) <- id :: acc.(comp_of_node.(id))
-    done;
-    Array.map Array.of_list acc
-  in
-  let stamp = Array.make n (-1) in
-  let lidx = Array.make n 0 in
-  let gen = ref (-1) in
-  let routine_of id = Psg.node_routine psg.Psg.nodes.(id).Psg.kind in
-  let hier dep_arr =
-    let budget = ref (32 * n) in
-    let comp_nodes = Array.make (max scc.Scc.count 1) [||] in
-    let comp_cend = Array.make (max scc.Scc.count 1) [||] in
-    let comp_flat = Array.make (max scc.Scc.count 1) [||] in
-    for c = 0 to scc.Scc.count - 1 do
-      let size = Array.length comp_members.(c) in
-      let out = Array.make size 0 and cend = Array.make size 0 in
-      let flats = ref [] in
-      let cur = ref 0 in
-      let tasks = ref [ Wset comp_members.(c) ] in
-      while !tasks <> [] do
-        let task = List.hd !tasks in
-        tasks := List.tl !tasks;
-        match task with
-        | Wnode id ->
-            out.(!cur) <- id;
-            incr cur
-        | Wclose p -> cend.(p) <- !cur
-        | Wknot m when !budget <= 0 ->
-            let p = !cur in
-            Array.iter
-              (fun id ->
-                out.(!cur) <- id;
-                incr cur)
-              m;
-            flats := !cur :: p :: !flats
-        | Wknot m when Array.exists (fun id -> routine_of id <> routine_of m.(0)) m
-          ->
-            (* Multi-routine recursion knot: flat region, members kept in
-               the dependency graph's DFS postorder. *)
-            let p = !cur in
-            Array.iter
-              (fun id ->
-                out.(!cur) <- id;
-                incr cur)
-              m;
-            flats := !cur :: p :: !flats
-        | Wknot m ->
-            let len = Array.length m in
-            let head = m.(len - 1) (* the knot's DFS root: on every cycle *) in
-            let p = !cur in
-            out.(p) <- head;
-            incr cur;
-            tasks := Wset (Array.sub m 0 (len - 1)) :: Wclose p :: !tasks
-        | Wset set ->
-            let len = Array.length set in
-            budget := !budget - len;
-            incr gen;
-            Array.iteri
-              (fun i id ->
-                stamp.(id) <- !gen;
-                lidx.(id) <- i)
-              set;
-            let succs =
-              Array.init len (fun i ->
-                  let ds = dep_arr.(set.(i)) in
-                  let acc = ref [] in
-                  Array.iter
-                    (fun d -> if stamp.(d) = !gen then acc := lidx.(d) :: !acc)
-                    ds;
-                  Array.of_list !acc)
-            in
-            let sub = Scc.compute ~succs in
-            (* Push in descending order so ascending (reads-first) pops. *)
-            for g = sub.Scc.count - 1 downto 0 do
-              let ms = sub.Scc.members.(g) in
-              if
-                Array.length ms = 1
-                && not (Array.exists (fun d -> d = ms.(0)) succs.(ms.(0)))
-              then tasks := Wnode set.(ms.(0)) :: !tasks
-              else tasks := Wknot (Array.map (fun i -> set.(i)) ms) :: !tasks
-            done
-      done;
-      comp_nodes.(c) <- out;
-      comp_cend.(c) <- cend;
-      comp_flat.(c) <- Array.of_list (List.rev !flats)
-    done;
-    (comp_nodes, comp_cend, comp_flat)
-  in
-  let comp_nodes_p1, comp_cend_p1, comp_flat_p1 = hier (deps p1_extra) in
-  let comp_nodes_p2, comp_cend_p2, comp_flat_p2 = hier (deps p2_extra) in
   let calls_acc = Array.make (max scc.Scc.count 1) [] in
   Array.iteri
     (fun i (info : Psg.call_info) ->
@@ -201,18 +73,7 @@ let make ?pool (psg : Psg.t) =
   let comp_calls =
     Array.init scc.Scc.count (fun c -> Array.of_list (List.rev calls_acc.(c)))
   in
-  {
-    scc;
-    comp_of_node;
-    comp_nodes_p1;
-    comp_cend_p1;
-    comp_flat_p1;
-    comp_nodes_p2;
-    comp_cend_p2;
-    comp_flat_p2;
-    comp_calls;
-    pool;
-  }
+  { scc; comp_of_node; order_p1; order_p2; comp_calls; pool }
 
 let jobs t = match t.pool with None -> 1 | Some pool -> Pool.jobs pool
 
@@ -276,3 +137,26 @@ let run t ~rev ~dirty f =
           end
         done;
       !total
+
+(* A node marked ahead of the cursor pops in the same sweep, one behind
+   it in the next.  The orders mostly put readers after what they read,
+   so most components settle in one sweep plus the empty one that proves
+   it. *)
+let drain ~sweeps order marked process =
+  let len = Array.length order in
+  let pops = ref 0 in
+  let popped = ref true in
+  while !popped do
+    Spike_obs.Metrics.incr sweeps;
+    let before = !pops in
+    for i = 0 to len - 1 do
+      let id = Array.unsafe_get order i in
+      if Bytes.unsafe_get marked id <> '\000' then begin
+        Bytes.unsafe_set marked id '\000';
+        incr pops;
+        process id
+      end
+    done;
+    popped := !pops > before
+  done;
+  !pops

@@ -6,48 +6,31 @@
     cross-routine dependence structure of either phase is exactly the
     call-graph condensation.  Processing components in topological order
     (reversed for phase 2) and iterating only {e inside} each component
-    replaces the global FIFO sweeps with one bounded fixpoint per
-    component: cross-component inputs are already converged when a
-    component starts, by the schedule.
+    gives one bounded fixpoint per component: cross-component inputs are
+    already converged when a component starts, by the schedule.
+
+    Inside a component the fixpoint is a plain sweep ({!drain}) over a
+    fixed node order: the component's routines in dependency order, each
+    routine's nodes sink-first.
 
     Because each phase's equation system is monotone over a finite
     lattice, its fixpoint is unique — so the values a component converges
     to do not depend on when or where it ran.  That is what makes the
     parallel mode (independent components dispatched to pool workers as
-    their dependencies complete) bit-identical to the serial one, and
-    both to the FIFO baseline. *)
+    their dependencies complete) bit-identical to the serial one. *)
 
 open Spike_support
 
 type t = {
   scc : Scc.t;  (** over routine indices, from {!Psg.call_scc} *)
   comp_of_node : int array;  (** PSG node id [->] component *)
-  comp_nodes_p1 : int array array;
-      (** component [->] its node ids in a weak topological order
-          (Bourdoncle) of the phase 1 dependency graph — a node reads its
-          outgoing flow-edge targets, and a call node its callee entry
-          nodes.  Trivial elements appear reads-first, so one pass
-          recomputes each exactly once.  An intra-routine dependency knot
-          (CFG loop nest) appears as its DFS-root head followed by the
-          recursively decomposed remainder, and is iterated until the
-          head is stable — cycles avoiding the head lie in nested knots,
-          stabilized recursively.  A multi-routine knot (recursion spine)
-          appears as a flat region — its routines callee-first, each
-          recursively decomposed — swept until a pass pops nothing.
-          Readers of a knot then see its final values exactly once. *)
-  comp_cend_p1 : int array array;
-      (** parallel to [comp_nodes_p1.(c)]: [cend.(i) = 0] for a trivial
-          element; [cend.(i) = e] when a head-knot at [i] spans the slice
-          [i, e) (nested knots carry their own entries) *)
-  comp_flat_p1 : int array array;
-      (** component [->] its flat regions as [start; end)] pairs
-          flattened — [[|s0; e0; s1; e1; ...|]] — ascending and mutually
-          disjoint, though head-knots may nest inside a region *)
-  comp_nodes_p2 : int array array;
-      (** the same order for the phase 2 dependency graph (flow-edge
-          targets, and caller return nodes at exit nodes) *)
-  comp_cend_p2 : int array array;
-  comp_flat_p2 : int array array;
+  order_p1 : int array array;
+      (** component [->] its node ids for phase 1: the routines in
+          [Scc.members] order (callee-first DFS postorder), each
+          routine's nodes by descending id (sink-first) *)
+  order_p2 : int array array;
+      (** the same nodes for phase 2: routines in reverse [Scc.members]
+          order (caller-first), nodes again by descending id *)
   comp_calls : int array array;
       (** component [->] indices into [Psg.calls] of the call sites whose
           call node lives in the component, ascending *)
@@ -69,12 +52,22 @@ val run : t -> rev:bool -> dirty:(int -> bool) -> (Bytes.t -> int -> int) -> int
     returns the sum of the results (the phase's iteration total).
 
     [scratch] is an all-zero mark bitset of [Psg.node_count] bytes for
-    the component's rank-ordered sweeps; [f] must return it all-zero (a
-    drained fixpoint does).  With a multi-domain pool, components whose
-    schedule predecessors have all finished run concurrently on the
-    pool's workers, each with its own scratch bitset; clean components
-    complete instantly but still release their dependents.  [f] must then
-    confine its writes to the component's own nodes and call-return edges
-    — the phase drivers do — and the sum is accumulated atomically.  Each
+    the component's {!drain}; [f] must return it all-zero (a drained
+    fixpoint does).  With a multi-domain pool, components whose schedule
+    predecessors have all finished run concurrently on the pool's
+    workers, each with its own scratch bitset; clean components complete
+    instantly but still release their dependents.  [f] must then confine
+    its writes to the component's own nodes and call-return edges — the
+    phase drivers do — and the sum is accumulated atomically.  Each
     component's drain is deterministic, so the sum is identical for every
     [jobs] value. *)
+
+val drain :
+  sweeps:Spike_obs.Metrics.counter -> int array -> Bytes.t -> (int -> unit) -> int
+(** [drain ~sweeps order marked process] sweeps [order] front to back,
+    clearing the mark of each marked node and calling [process] on it,
+    and repeats until a sweep pops nothing.  [process] may mark any node
+    of [order] (one ahead of the cursor pops in the same sweep, one
+    behind it in the next); marks outside [order] are never cleared.
+    Returns the number of pops; [sweeps] counts the passes, the final
+    empty one included. *)

@@ -228,3 +228,68 @@ let check_figure6_labels ~branch_nodes program =
       end)
     psg.edges;
   cov
+
+(* Exact agreement of an analysis with the PSG-free reference fixpoint
+   (spike_reference): call classes, live-at-entry of the primary entry
+   and live-at-exit of every exit block. *)
+let check_reference ?(label = "") (analysis : Spike_core.Analysis.t) =
+  let open Spike_core in
+  let reference = Spike_reference.Reference.run analysis.Analysis.program in
+  Program.iter
+    (fun r (routine : Routine.t) ->
+      let name = label ^ routine.Routine.name in
+      let a = analysis.Analysis.call_classes.(r)
+      and b = reference.Spike_reference.Reference.call_classes.(r) in
+      check_regset (name ^ " call-used") b.Summary.used a.Summary.used;
+      check_regset (name ^ " call-defined") b.Summary.defined a.Summary.defined;
+      check_regset (name ^ " call-killed") b.Summary.killed a.Summary.killed;
+      let s = analysis.Analysis.summaries.(r) in
+      (match s.Summary.live_at_entry with
+      | (_, live) :: _ ->
+          check_regset (name ^ " live-at-entry")
+            reference.Spike_reference.Reference.live_at_entry.(r)
+            live
+      | [] -> ());
+      List.iter
+        (fun (block, live) ->
+          match
+            List.assoc_opt block reference.Spike_reference.Reference.live_at_exit.(r)
+          with
+          | Some expected ->
+              check_regset
+                (Printf.sprintf "%s live-at-exit B%d" name block)
+                expected live
+          | None -> Alcotest.failf "%s: exit block B%d missing in reference" name block)
+        s.Summary.live_at_exit)
+    analysis.Analysis.program
+
+(* One call-graph SCC of [n] routines: [f i] calls [f (i + 1)] (the
+   ring), every [chord]-th routine (none when omitted) also calls a
+   routine about a third of the ring further on, and each routine's body
+   sits in a CFG loop.  Each routine defines and reads registers picked
+   by its index, so the summaries vary around the ring. *)
+let recursion_ring ?chord n =
+  let name i = Printf.sprintf "f%d" (i mod n) in
+  let regs = [| r0; r1; r2; r3; Reg.t3; Reg.t4; Reg.s0; Reg.s1 |] in
+  let reg i = regs.(i mod Array.length regs) in
+  let routines =
+    List.init n (fun i ->
+        let chords =
+          match chord with
+          | Some k when i mod k = 0 -> [ (None, call (name (i + (n / 3) + 1))) ]
+          | Some _ | None -> []
+        in
+        routine (name i)
+          ([
+             (Some "loop", li (reg i) i);
+             (None, beq (reg (i + 3)) "done");
+             (None, call (name (i + 1)));
+           ]
+          @ chords
+          @ [
+              (None, use (reg (i + 5)));
+              (None, bne (reg (i + 1)) "loop");
+              (Some "done", ret);
+            ]))
+  in
+  program ~main:(name 0) routines

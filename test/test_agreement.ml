@@ -32,36 +32,7 @@ let workloads () =
   let seeds = List.init 10 (fun i -> { base with Params.seed = 100 + i }) in
   List.map Generator.generate (variants @ seeds)
 
-let check_program_agreement p =
-  let analysis = Analysis.run p in
-  let reference = Spike_reference.Reference.run p in
-  Program.iter
-    (fun r (routine : Routine.t) ->
-      let name = routine.Routine.name in
-      let a = analysis.Analysis.call_classes.(r)
-      and b = reference.Spike_reference.Reference.call_classes.(r) in
-      check_regset (name ^ " call-used") b.Summary.used a.Summary.used;
-      check_regset (name ^ " call-defined") b.Summary.defined a.Summary.defined;
-      check_regset (name ^ " call-killed") b.Summary.killed a.Summary.killed;
-      let s = analysis.Analysis.summaries.(r) in
-      (match s.Summary.live_at_entry with
-      | (_, live) :: _ ->
-          check_regset (name ^ " live-at-entry")
-            reference.Spike_reference.Reference.live_at_entry.(r)
-            live
-      | [] -> ());
-      List.iter
-        (fun (block, live) ->
-          match
-            List.assoc_opt block reference.Spike_reference.Reference.live_at_exit.(r)
-          with
-          | Some expected ->
-              check_regset
-                (Printf.sprintf "%s live-at-exit B%d" name block)
-                expected live
-          | None -> Alcotest.failf "%s: exit block B%d missing in reference" name block)
-        s.Summary.live_at_exit)
-    p
+let check_program_agreement p = check_reference (Analysis.run p)
 
 let test_reference_agreement () =
   check_program_agreement (figure2_program ());

@@ -344,10 +344,10 @@ let test_recursion_converges () =
     analysis.Analysis.call_classes
 
 let test_deep_call_chain () =
-  (* A 100_000-deep linear call chain.  The callee-first traversal and
-     the call-graph SCC pass walk one DFS path the full depth of the
-     program here — a recursive implementation would need a native stack
-     frame per routine, so both are required to be iterative. *)
+  (* A 100_000-deep linear call chain.  The call-graph SCC pass walks one
+     DFS path the full depth of the program here — a recursive
+     implementation would need a native stack frame per routine, so it is
+     required to be iterative. *)
   let depth = 100_000 in
   let name i = Printf.sprintf "f%d" i in
   let routines =
@@ -360,15 +360,13 @@ let test_deep_call_chain () =
   (* The leaf's definition propagates the whole way up as a may-kill. *)
   let c = (Option.get (Analysis.summary_of a (name 0))).Summary.call_class in
   check_restricted "chain killed" ~over:(rs [ r2 ]) (rs [ r2 ]) c.Summary.killed;
-  let order = Psg.callee_first_order a.Analysis.psg in
-  Alcotest.(check int) "traversal covers every routine" depth (List.length order);
   let scc = Psg.call_scc a.Analysis.psg in
   Alcotest.(check int) "chain is acyclic" depth scc.Scc.count
 
-let test_fifo_scc_schedules_agree () =
-  (* The FIFO worklist and the SCC-condensation schedule must reach the
-     same (unique) fixpoint — same summaries, call classes and PSG sets —
-     on straight-line call structure and on recursion knots alike. *)
+let test_reference_scc_schedule_agree () =
+  (* The SCC schedule must reach the PSG-free reference fixpoint — call
+     classes, live-at-entry and live-at-exit — on straight-line call
+     structure and on recursion knots alike. *)
   let even =
     routine "even"
       [
@@ -391,26 +389,38 @@ let test_fifo_scc_schedules_agree () =
   in
   let main = routine "main" [ (None, call "even"); (None, ret) ] in
   List.iter
-    (fun (label, p) ->
-      let fifo = Analysis.run ~phase_sched:`Fifo p in
-      let scc = Analysis.run ~phase_sched:`Scc p in
-      Alcotest.(check string)
-        (label ^ ": identical PSG solutions")
-        (Format.asprintf "%a" Psg.pp fifo.Analysis.psg)
-        (Format.asprintf "%a" Psg.pp scc.Analysis.psg);
-      Array.iteri
-        (fun r (c : Summary.call_class) ->
-          let d = scc.Analysis.call_classes.(r) in
-          Alcotest.check regset (label ^ ": used") c.Summary.used d.Summary.used;
-          Alcotest.check regset (label ^ ": defined") c.Summary.defined
-            d.Summary.defined;
-          Alcotest.check regset (label ^ ": killed") c.Summary.killed
-            d.Summary.killed)
-        fifo.Analysis.call_classes)
+    (fun (label, p) -> check_reference ~label:(label ^ ": ") (Analysis.run p))
     [
       ("figure2", figure2_program ());
       ("mutual recursion", program ~main:"main" [ main; even; odd ]);
     ]
+
+let test_sched_drain () =
+  (* A mark ahead of the cursor pops in the same sweep, one behind it in
+     the next; the drain stops after the first sweep that pops nothing and
+     leaves the bitset clear. *)
+  let sweeps = Spike_obs.Metrics.counter "test.sched.sweeps" in
+  let marked = Bytes.make 4 '\000' in
+  let mark id = Bytes.set marked id '\001' in
+  List.iter mark [ 0; 3 ];
+  let popped = ref [] in
+  let process id =
+    popped := id :: !popped;
+    (* 3 marks 1 (ahead of it); 1 marks 2 (behind it) once. *)
+    if id = 3 then mark 1;
+    if id = 1 && not (List.mem 2 !popped) then mark 2
+  in
+  Spike_obs.Metrics.enable ();
+  let pops = Sched.drain ~sweeps [| 2; 3; 1; 0 |] marked process in
+  let snap = Spike_obs.Metrics.snapshot () in
+  Spike_obs.Metrics.disable ();
+  Alcotest.(check (list int)) "pop order" [ 3; 1; 0; 2 ] (List.rev !popped);
+  Alcotest.(check int) "pops" 4 pops;
+  Alcotest.(check bool) "sweeps: two that pop, one empty" true
+    (Spike_obs.Metrics.find snap "test.sched.sweeps"
+    = Some (Spike_obs.Metrics.Count 3));
+  Alcotest.(check string) "marks cleared" "\000\000\000\000"
+    (Bytes.to_string marked)
 
 (* --- Analysis determinism / misc ------------------------------------------ *)
 
@@ -483,8 +493,9 @@ let () =
         [
           Alcotest.test_case "recursion" `Quick test_recursion_converges;
           Alcotest.test_case "deep call chain" `Quick test_deep_call_chain;
-          Alcotest.test_case "FIFO vs SCC schedule" `Quick
-            test_fifo_scc_schedules_agree;
+          Alcotest.test_case "reference vs SCC schedule" `Quick
+            test_reference_scc_schedule_agree;
+          Alcotest.test_case "sweep drain" `Quick test_sched_drain;
           Alcotest.test_case "determinism" `Quick test_analysis_deterministic;
         ] );
       ( "structure",

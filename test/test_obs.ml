@@ -160,6 +160,13 @@ let test_analysis_metrics_jobs_invariant () =
   Alcotest.(check int) "phase1.iterations matches the result (jobs=4)"
     a4.Analysis.phase1_iterations
     (count snap4 "phase1.iterations");
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " counted") true (count snap1 name > 0);
+      Alcotest.(check int)
+        (name ^ " identical at jobs=1 and jobs=4")
+        (count snap1 name) (count snap4 name))
+    [ "phase1.sweeps"; "phase2.sweeps" ];
   Alcotest.(check bool) "analysis.runs counted" true
     (count snap1 "analysis.runs" = 1)
 

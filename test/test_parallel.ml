@@ -7,6 +7,7 @@
    same phase iteration counts for every k.  This suite pins that on the
    synthetic workloads and the checked-in example program. *)
 
+open Spike_support
 open Spike_core
 open Spike_synth
 
@@ -94,27 +95,58 @@ let test_example_program () =
   let program = Spike_asm.Parser.program_of_file fact_path in
   check_identical "examples/fact.s" program
 
-let test_fifo_serial_vs_scc_parallel () =
-  (* The strongest cross-check: the sequential FIFO baseline against the
-     SCC schedule running its phase fixpoints on 4 domains.  Same unique
-     fixpoint, so bit-identical summaries, call classes and PSG — even
-     though neither the schedule nor the executor is shared. *)
+let test_reference_vs_scc_parallel () =
+  (* The strongest cross-check: the SCC schedule running its phase
+     fixpoints on 4 domains against the PSG-free reference fixpoint, which
+     shares neither the schedule, the executor nor the PSG; and against
+     the same schedule on 1 domain, for a bit-identical PSG. *)
   List.iter
     (fun (name, program) ->
-      let fifo = Analysis.run ~jobs:1 ~phase_sched:`Fifo program in
-      let scc4 = Analysis.run ~jobs:4 ~phase_sched:`Scc program in
-      let tag what = Printf.sprintf "%s: %s (FIFO j1 vs SCC j4)" name what in
+      let serial = Analysis.run ~jobs:1 program in
+      let par = Analysis.run ~jobs:4 program in
+      Test_helpers.check_reference ~label:(name ^ " (j4): ") par;
       Alcotest.(check string)
-        (tag "summaries")
-        (render_summaries fifo) (render_summaries scc4);
-      Alcotest.(check string)
-        (tag "call classes")
-        (render_call_classes fifo) (render_call_classes scc4);
-      Alcotest.(check string) (tag "PSG dump") (render_psg fifo) (render_psg scc4))
+        (name ^ ": PSG dump (j1 vs j4)")
+        (render_psg serial) (render_psg par))
     [
       ("synth seed 5", synth_program ~seed:5 ~routines:60 ~target_instructions:3000);
       ("examples/fact.s", Spike_asm.Parser.program_of_file fact_path);
     ]
+
+(* Summaries, call classes and iteration counts at jobs 1 and 4. *)
+let check_serial_parallel name program =
+  let serial = Analysis.run ~jobs:1 program in
+  let par = Analysis.run ~jobs:4 program in
+  let tag what = Printf.sprintf "%s: %s (j1 vs j4)" name what in
+  Alcotest.(check string)
+    (tag "summaries")
+    (render_summaries serial) (render_summaries par);
+  Alcotest.(check string)
+    (tag "call classes")
+    (render_call_classes serial) (render_call_classes par);
+  Alcotest.(check int)
+    (tag "phase 1 iterations")
+    serial.Analysis.phase1_iterations par.Analysis.phase1_iterations;
+  Alcotest.(check int)
+    (tag "phase 2 iterations")
+    serial.Analysis.phase2_iterations par.Analysis.phase2_iterations;
+  serial
+
+let test_large_recursion_knots () =
+  (* One call-graph SCC of 2,000 routines, each with a CFG loop and every
+     fifth with a chord across the ring: the sweep must reach the
+     reference solution, identically at every jobs value. *)
+  let knot = Test_helpers.recursion_ring ~chord:5 2_000 in
+  let a = check_serial_parallel "2k knot" knot in
+  let scc = Psg.call_scc a.Analysis.psg in
+  Alcotest.(check int) "2k knot is one component" 2_000 (Scc.largest scc);
+  Test_helpers.check_reference ~label:"2k knot: " a;
+  (* A 100,000-routine ring: one component as deep as the program, which
+     no part of the schedule may walk recursively. *)
+  let ring = Test_helpers.recursion_ring 100_000 in
+  let a = check_serial_parallel "100k ring" ring in
+  Alcotest.(check int) "100k ring is one component" 100_000
+    (Scc.largest (Psg.call_scc a.Analysis.psg))
 
 let () =
   Alcotest.run "parallel-determinism"
@@ -125,7 +157,9 @@ let () =
           Alcotest.test_case "calibrated gcc" `Quick test_calibrated_workload;
           Alcotest.test_case "config variants" `Quick test_config_variants;
           Alcotest.test_case "example program" `Quick test_example_program;
-          Alcotest.test_case "FIFO serial vs SCC parallel" `Quick
-            test_fifo_serial_vs_scc_parallel;
+          Alcotest.test_case "reference vs SCC parallel" `Quick
+            test_reference_vs_scc_parallel;
+          Alcotest.test_case "large recursion knots" `Quick
+            test_large_recursion_knots;
         ] );
     ]

@@ -1,5 +1,5 @@
 (* Unit and property tests for the support library: register sets, PRNG,
-   vectors, worksets, timers. *)
+   vectors, SCCs, the domain pool, timers. *)
 
 open Spike_support
 
@@ -146,87 +146,6 @@ let test_vec () =
   Alcotest.(check bool) "exists" true (Vec.exists (fun x -> x = 6) (Vec.of_list l));
   Vec.clear v;
   Alcotest.(check bool) "clear" true (Vec.is_empty v)
-
-(* --- Workset ------------------------------------------------------------ *)
-
-let test_workset () =
-  let w = Workset.create 10 in
-  Alcotest.(check bool) "fresh empty" true (Workset.is_empty w);
-  Workset.push w 3;
-  Workset.push w 7;
-  Workset.push w 3;
-  (* deduplicated *)
-  Alcotest.(check int) "dedup length" 2 (Workset.length w);
-  Alcotest.(check int) "fifo 1" 3 (Workset.pop w);
-  Workset.push w 3;
-  (* re-push after pop is allowed *)
-  Alcotest.(check int) "fifo 2" 7 (Workset.pop w);
-  Alcotest.(check int) "fifo 3" 3 (Workset.pop w);
-  Alcotest.check_raises "pop empty" (Invalid_argument "Workset.pop: empty") (fun () ->
-      ignore (Workset.pop w));
-  (* Wraparound: run many cycles through a small ring. *)
-  let w = Workset.create 4 in
-  for round = 0 to 99 do
-    Workset.push w (round mod 4);
-    Workset.push w ((round + 1) mod 4);
-    ignore (Workset.pop w);
-    ignore (Workset.pop w)
-  done;
-  Alcotest.(check bool) "drained" true (Workset.is_empty w)
-
-let test_workset_bounds () =
-  let w = Workset.create 4 in
-  Alcotest.check_raises "push above capacity"
-    (Invalid_argument "Workset.push: id 4 out of range [0, 4)") (fun () ->
-      Workset.push w 4);
-  Alcotest.check_raises "push negative"
-    (Invalid_argument "Workset.push: id -1 out of range [0, 4)") (fun () ->
-      Workset.push w (-1));
-  (* The failed pushes must not have corrupted the set. *)
-  Workset.push w 3;
-  Alcotest.(check int) "still usable" 3 (Workset.pop w)
-
-let test_workset_wraparound_requeue () =
-  (* Drive the write cursor all the way around a full-capacity ring while
-     re-queueing each popped id immediately: the head/tail wrap must keep
-     FIFO order and the membership bitmap exact. *)
-  let n = 5 in
-  let w = Workset.create n in
-  for id = 0 to n - 1 do
-    Workset.push w id
-  done;
-  for round = 0 to (7 * n) - 1 do
-    let id = Workset.pop w in
-    Alcotest.(check int)
-      (Printf.sprintf "fifo cycle at round %d" round)
-      (round mod n) id;
-    (* push-after-pop: the id was cleared from the bitmap by the pop, so
-       the re-queue must succeed (and land at the tail). *)
-    Workset.push w id;
-    Alcotest.(check int) "ring stays full" n (Workset.length w)
-  done;
-  (* A queued id must still be rejected as a duplicate after wrapping. *)
-  Workset.push w 2;
-  Alcotest.(check int) "duplicate rejected after wrap" n (Workset.length w)
-
-let test_workset_capacity_clear () =
-  let w = Workset.create 8 in
-  Alcotest.(check int) "capacity" 8 (Workset.capacity w);
-  Workset.push w 1;
-  Workset.push w 5;
-  Workset.push w 7;
-  Workset.clear w;
-  Alcotest.(check bool) "clear empties" true (Workset.is_empty w);
-  Alcotest.(check int) "length after clear" 0 (Workset.length w);
-  (* clear must also reset membership: the cleared ids can re-enter. *)
-  Workset.push w 5;
-  Workset.push w 1;
-  Alcotest.(check int) "re-push after clear" 2 (Workset.length w);
-  Alcotest.(check int) "fifo after clear" 5 (Workset.pop w);
-  Alcotest.(check int) "fifo after clear 2" 1 (Workset.pop w);
-  (* Clearing an empty set is a no-op. *)
-  Workset.clear w;
-  Alcotest.(check bool) "clear empty" true (Workset.is_empty w)
 
 (* --- Scc ----------------------------------------------------------------- *)
 
@@ -579,14 +498,6 @@ let () =
           Alcotest.test_case "chance balance" `Quick test_prng_chance_balance;
         ] );
       ("vec", [ Alcotest.test_case "operations" `Quick test_vec ]);
-      ( "workset",
-        [
-          Alcotest.test_case "fifo + dedup + ring" `Quick test_workset;
-          Alcotest.test_case "out-of-range push" `Quick test_workset_bounds;
-          Alcotest.test_case "wraparound + push-after-pop" `Quick
-            test_workset_wraparound_requeue;
-          Alcotest.test_case "capacity and clear" `Quick test_workset_capacity_clear;
-        ] );
       ( "scc",
         Alcotest.test_case "basics" `Quick test_scc_basics
         :: Alcotest.test_case "deep chain and giant cycle" `Quick test_scc_deep_chain
