@@ -12,8 +12,19 @@ open Spike_support
 open Spike_ir
 open Spike_core
 
+(* A located input error: [FILE:LINE: message], or [FILE: message] when
+   the error concerns the file as a whole (line 0); exit 2, as for an
+   ill-formed program. *)
+let input_error path line message =
+  if line > 0 then Format.eprintf "%s:%d: %s@." path line message
+  else Format.eprintf "%s: %s@." path message;
+  exit 2
+
 let load_program path =
-  let program = Spike_asm.Parser.program_of_file path in
+  let program =
+    try Spike_asm.Parser.program_of_file path
+    with Spike_asm.Parser.Error { line; message } -> input_error path line message
+  in
   match Validate.check program with
   | Ok () -> program
   | Error problems ->
@@ -35,7 +46,9 @@ let externals_arg =
 
 let load_externals = function
   | None -> fun _ -> None
-  | Some path -> Spike_asm.Summaries.lookup (Spike_asm.Summaries.of_file path)
+  | Some path -> (
+      try Spike_asm.Summaries.lookup (Spike_asm.Summaries.of_file path)
+      with Spike_asm.Summaries.Error { line; message } -> input_error path line message)
 
 let branch_nodes_arg =
   Arg.(

@@ -9,7 +9,9 @@ let to_string p = Format.asprintf "%a" pp_program p
 
 let to_file path p =
   let oc = open_out path in
-  let ppf = Format.formatter_of_out_channel oc in
+  (* [Routine.pp] ends each line with a flush; here only the channel's own
+     buffer decides when to write, not one system call per line. *)
+  let ppf = Format.make_formatter (output_substring oc) ignore in
   pp_program ppf p;
   Format.pp_print_flush ppf ();
   close_out oc

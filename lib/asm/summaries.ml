@@ -4,27 +4,6 @@ open Spike_core
 
 exception Error of { line : int; message : string }
 
-let fail line fmt = Format.kasprintf (fun message -> raise (Error { line; message })) fmt
-
-let reg line name =
-  match Reg.of_name name with
-  | Some r -> r
-  | None -> fail line "unknown register %s" name
-
-(* [used = { a0 , a1 }] — the brace list may be empty. *)
-let set_line line tokens =
-  let module L = Lexer in
-  match tokens with
-  | L.Ident field :: L.Equals :: L.Lbrace :: rest ->
-      let rec members acc = function
-        | [ L.Rbrace ] -> acc
-        | [ L.Ident n; L.Rbrace ] -> Regset.add (reg line n) acc
-        | L.Ident n :: L.Comma :: rest -> members (Regset.add (reg line n) acc) rest
-        | _ -> fail line "malformed register set"
-      in
-      (field, members Regset.empty rest)
-  | _ -> fail line "expected '<field> = { ... }'"
-
 type partial = {
   name : string;
   mutable used : Regset.t option;
@@ -32,51 +11,70 @@ type partial = {
   mutable killed : Regset.t option;
 }
 
-let of_string source =
-  let module L = Lexer in
+let parse source =
+  let s = Scan.create source in
   let entries = ref [] in
   let current = ref None in
-  let finish line =
-    match !current with
-    | None -> fail line ".end without .summary"
+  let not_a_set () = Scan.fail s "expected '<field> = { ... }'" in
+  let malformed () = Scan.fail s "malformed register set" in
+  let member set =
+    let r = Scan.register s in
+    if r < 0 then Scan.fail s "unknown register %s" (Scan.tok_string s);
+    Regset.add r set
+  in
+  (* A set line is [<field> = { a0, a1 }]: the brace list may be empty and
+     may end with a comma.  A member is looked up once the token after it
+     shows the list goes on.  These are the members after the "{",
+     through the end of the line. *)
+  let rec members set =
+    if Scan.punct s '}' then if Scan.at_eol s then set else malformed ()
+    else if not (Scan.ident s) then malformed ()
+    else if Scan.punct s ',' then members (member set)
+    else if Scan.punct s '}' && Scan.at_eol s then member set
+    else malformed ()
+  in
+  while Scan.next_line s do
+    (match !current with
+    | None ->
+        if Scan.directive s && Scan.tok_is s "summary" && Scan.ident s && Scan.at_eol s then
+          current :=
+            Some { name = Scan.tok_string s; used = None; defined = None; killed = None }
+        else Scan.fail s "expected .summary"
     | Some p ->
-        let field what = function
-          | Some s -> s
-          | None -> fail line "summary %s is missing its %s set" p.name what
-        in
-        entries :=
-          ( p.name,
-            {
-              Psg.x_used = field "used" p.used;
-              x_defined = field "defined" p.defined;
-              x_killed = field "killed" p.killed;
-            } )
-          :: !entries;
-        current := None
-  in
-  let lines =
-    match Lexer.tokenize source with
-    | lines -> lines
-    | exception Lexer.Error { line; message } -> raise (Error { line; message })
-  in
-  List.iter
-    (fun (line, tokens) ->
-      match (tokens, !current) with
-      | [ L.Directive "summary"; L.Ident name ], None ->
-          current := Some { name; used = None; defined = None; killed = None }
-      | [ L.Directive "end" ], Some _ -> finish line
-      | _, Some p -> (
-          match set_line line tokens with
-          | "used", s -> p.used <- Some s
-          | "defined", s -> p.defined <- Some s
-          | "killed", s -> p.killed <- Some s
-          | field, _ -> fail line "unknown field %s" field)
-      | _, None -> fail line "expected .summary")
-    lines;
+        if Scan.directive s then
+          if Scan.tok_is s "end" && Scan.at_eol s then begin
+            (* With several sets missing, killed is reported first, then
+               defined, then used. *)
+            let field what = function
+              | Some set -> set
+              | None -> Scan.fail s "summary %s is missing its %s set" p.name what
+            in
+            let x_killed = field "killed" p.killed in
+            let x_defined = field "defined" p.defined in
+            let x_used = field "used" p.used in
+            entries := (p.name, { Psg.x_used; x_defined; x_killed }) :: !entries;
+            current := None
+          end
+          else not_a_set ()
+        else begin
+          let field = if Scan.ident s then Scan.tok_string s else not_a_set () in
+          if not (Scan.punct s '=' && Scan.punct s '{') then not_a_set ();
+          let set = members Regset.empty in
+          match field with
+          | "used" -> p.used <- Some set
+          | "defined" -> p.defined <- Some set
+          | "killed" -> p.killed <- Some set
+          | _ -> Scan.fail s "unknown field %s" field
+        end);
+    Scan.end_line s
+  done;
   (match !current with
-  | Some p -> fail 0 "summary %s not closed with .end" p.name
+  | Some p -> Scan.fail_at 0 (Printf.sprintf "summary %s not closed with .end" p.name)
   | None -> ());
   List.rev !entries
+
+let of_string source =
+  try parse source with Scan.Error { line; message } -> raise (Error { line; message })
 
 let of_file path =
   let ic = open_in_bin path in

@@ -94,14 +94,32 @@ let site_class (_psg : Psg.t) call_classes (info : Psg.call_info) =
 let find summaries program name =
   Option.map (fun i -> summaries.(i)) (Program.find_index program name)
 
+(* One line per set in a vertical box indented by 2.  Each line is built
+   in a buffer and printed as one token: the pretty-printer's cost is per
+   token, and a register set holds dozens of names. *)
 let pp ppf s =
-  let pr = Regset.pp ~name:Reg.name in
-  Format.fprintf ppf "@[<v2>%s:@ call-used=%a@ call-defined=%a@ call-killed=%a" s.name
-    pr s.call_class.used pr s.call_class.defined pr s.call_class.killed;
+  let b = Buffer.create 256 in
+  let emit () =
+    Format.pp_print_string ppf (Buffer.contents b);
+    Buffer.clear b
+  in
+  let line label set =
+    emit ();
+    Format.pp_print_space ppf ();
+    Buffer.add_string b label;
+    Regset.add_to_buffer ~name:Reg.name b set
+  in
+  Format.pp_open_vbox ppf 2;
+  Buffer.add_string b s.name;
+  Buffer.add_char b ':';
+  line "call-used=" s.call_class.used;
+  line "call-defined=" s.call_class.defined;
+  line "call-killed=" s.call_class.killed;
   List.iter
-    (fun (label, live) -> Format.fprintf ppf "@ live-at-entry(%s)=%a" label pr live)
+    (fun (label, live) -> line ("live-at-entry(" ^ label ^ ")=") live)
     s.live_at_entry;
   List.iter
-    (fun (block, live) -> Format.fprintf ppf "@ live-at-exit(B%d)=%a" block pr live)
+    (fun (block, live) -> line ("live-at-exit(B" ^ string_of_int block ^ ")=") live)
     s.live_at_exit;
-  Format.fprintf ppf "@]"
+  emit ();
+  Format.pp_close_box ppf ()

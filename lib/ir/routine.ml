@@ -27,13 +27,17 @@ let exit_count r =
 let pp ppf r =
   Format.fprintf ppf ".routine %s%s@." r.name (if r.exported then " .exported" else "");
   List.iter (fun entry -> Format.fprintf ppf ".entry %s@." entry) r.entries;
-  let labels_at i =
-    List.filter_map (fun (l, j) -> if i = j then Some l else None) r.labels
-  in
+  (* Labels bucketed once by the index they precede, in list order. *)
+  let n = Array.length r.insns in
+  let labels_at = Array.make (n + 1) [] in
+  List.iter
+    (fun (l, j) -> if j >= 0 && j <= n then labels_at.(j) <- l :: labels_at.(j))
+    (List.rev r.labels);
+  let label l = Format.fprintf ppf "%s:@." l in
   Array.iteri
     (fun i insn ->
-      List.iter (fun l -> Format.fprintf ppf "%s:@." l) (labels_at i);
+      List.iter label labels_at.(i);
       Format.fprintf ppf "  %a@." Insn.pp insn)
     r.insns;
-  List.iter (fun l -> Format.fprintf ppf "%s:@." l) (labels_at (Array.length r.insns));
+  List.iter label labels_at.(n);
   Format.fprintf ppf ".end@."

@@ -81,14 +81,12 @@ let binop_table =
     (Xor, "xor"); (Sll, "sll"); (Srl, "srl"); (Cmpeq, "cmpeq"); (Cmplt, "cmplt");
     (Cmple, "cmple") ]
 
+let binops = List.map fst binop_table
 let binop_name op = List.assoc op binop_table
-let binop_of_name s =
-  List.find_map (fun (op, name) -> if String.equal name s then Some op else None) binop_table
 
 let cond_table = [ (Eq, "beq"); (Ne, "bne"); (Lt, "blt"); (Le, "ble"); (Gt, "bgt"); (Ge, "bge") ]
+let conds = List.map fst cond_table
 let cond_name c = List.assoc c cond_table
-let cond_of_name s =
-  List.find_map (fun (c, name) -> if String.equal name s then Some c else None) cond_table
 
 let pp ppf insn =
   let reg = Reg.name in

@@ -86,10 +86,16 @@ val falls_through : t -> bool
 (** True when control may continue to the next instruction: ordinary
     instructions, failed conditional branches, and calls (which return). *)
 
+val binops : binop list
+(** Every binary operation, in declaration order. *)
+
 val binop_name : binop -> string
-val binop_of_name : string -> binop option
+(** The mnemonic; distinct for every operation and condition. *)
+
+val conds : cond list
+(** Every branch condition, in declaration order. *)
+
 val cond_name : cond -> string
-val cond_of_name : string -> cond option
 
 val pp : Format.formatter -> t -> unit
 (** Assembly rendering, e.g. [addq t0, t1, v0] or [bsr ra, fact]. *)

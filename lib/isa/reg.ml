@@ -54,18 +54,11 @@ let name r =
   else if is_float r then "f" ^ string_of_int (r - 32)
   else invalid_arg (Printf.sprintf "Reg.name: %d" r)
 
-let name_table =
-  let table = Hashtbl.create 128 in
-  for r = 0 to count - 1 do
-    Hashtbl.replace table (name r) r
-  done;
-  (* Raw spellings accepted by the parser. *)
-  for r = 0 to 31 do
-    Hashtbl.replace table ("r" ^ string_of_int r) r;
-    Hashtbl.replace table ("$" ^ string_of_int r) r
-  done;
-  table
+(* Software names, then the raw spellings accepted by the parser. *)
+let spellings =
+  List.init count (fun r -> (name r, r))
+  @ List.init 32 (fun r -> ("r" ^ string_of_int r, r))
+  @ List.init 32 (fun r -> ("$" ^ string_of_int r, r))
 
-let of_name s = Hashtbl.find_opt name_table s
 let pp ppf r = Format.pp_print_string ppf (name r)
 let all = List.init count Fun.id

@@ -89,8 +89,10 @@ val is_zero : t -> bool
 val name : t -> string
 (** Software name, e.g. ["v0"], ["s3"], ["f17"]. *)
 
-val of_name : string -> t option
-(** Inverse of {!name}; also accepts raw ["r<n>"] / ["$<n>"] spellings. *)
+val spellings : (string * t) list
+(** Every spelling the assembly reader accepts for a register, with the
+    register: each {!name}, and the raw ["r<n>"] / ["$<n>"] spellings of
+    the integer registers. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -84,8 +84,19 @@ let lo_bits s = s.lo
 let hi_bits s = s.hi
 let of_bits ~lo ~hi = { lo = lo land mask32; hi = hi land mask32 }
 
-let pp ?(name = fun r -> "r" ^ string_of_int r) ppf s =
-  let members = to_list s in
-  Format.fprintf ppf "{%s}" (String.concat ", " (List.map name members))
+let add_to_buffer ?(name = fun r -> "r" ^ string_of_int r) b s =
+  Buffer.add_char b '{';
+  let first = ref true in
+  iter
+    (fun r ->
+      if !first then first := false else Buffer.add_string b ", ";
+      Buffer.add_string b (name r))
+    s;
+  Buffer.add_char b '}'
 
-let to_string ?name s = Format.asprintf "%a" (pp ?name) s
+let to_string ?name s =
+  let b = Buffer.create 64 in
+  add_to_buffer ?name b s;
+  Buffer.contents b
+
+let pp ?name ppf s = Format.pp_print_string ppf (to_string ?name s)

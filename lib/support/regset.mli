@@ -74,3 +74,6 @@ val pp : ?name:(int -> string) -> Format.formatter -> t -> unit
 (** Prints as [{r1, r5}]; [name] overrides the default ["r<n>"] rendering. *)
 
 val to_string : ?name:(int -> string) -> t -> string
+
+val add_to_buffer : ?name:(int -> string) -> Buffer.t -> t -> unit
+(** Appends the {!pp} rendering. *)

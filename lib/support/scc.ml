@@ -117,12 +117,3 @@ let is_trivial t = Array.for_all (fun m -> Array.length m <= 1) t.members
 
 let largest t =
   Array.fold_left (fun best m -> max best (Array.length m)) 0 t.members
-
-let topological t =
-  let out = ref [] in
-  for c = t.count - 1 downto 0 do
-    for k = Array.length t.members.(c) - 1 downto 0 do
-      out := t.members.(c).(k) :: !out
-    done
-  done;
-  !out

@@ -467,6 +467,53 @@ let test_multi_entry_summaries () =
   let node = analysis.Analysis.psg.Psg.nodes.(secondary) in
   check_restricted "secondary must-def" ~over:(rs [ r1; r2 ]) (rs [ r2 ]) node.Psg.must_def
 
+(* The summary text, as `spike analyze --summaries-out` writes it: pinned
+   byte for byte (two entries, two exits, an empty set). *)
+let test_summary_text () =
+  let two =
+    routine ~entries:[ "two$a"; "two$b" ] "two"
+      [
+        (Some "two$a", li r1 1);
+        (Some "two$b", li r2 2);
+        (None, beq r1 "out");
+        (None, ret);
+        (Some "out", add r0 r1 r2);
+        (None, ret);
+      ]
+  in
+  let leaf = routine "leaf" [ (None, ret) ] in
+  let main =
+    routine "main" [ (None, call "two"); (None, call "leaf"); (None, use r0); (None, ret) ]
+  in
+  let analysis = Analysis.run (program ~main:"main" [ main; two; leaf ]) in
+  let text =
+    Format.asprintf "%a"
+      (fun ppf -> Array.iter (fun s -> Format.fprintf ppf "%a@." Summary.pp s))
+      analysis.Analysis.summaries
+  in
+  Alcotest.(check string) "summaries"
+    "main:\n\
+    \  call-used={v0, sp}\n\
+    \  call-defined={t0, t1, ra}\n\
+    \  call-killed={v0, t0, t1, ra}\n\
+    \  live-at-entry(main$entry)={v0, sp, f0}\n\
+    \  live-at-exit(B2)={v0, f0}\n\
+     two:\n\
+    \  call-used={ra}\n\
+    \  call-defined={t0, t1}\n\
+    \  call-killed={v0, t0, t1}\n\
+    \  live-at-entry(two$a)={v0, ra, sp, f0}\n\
+    \  live-at-entry(two$b)={v0, t0, ra, sp, f0}\n\
+    \  live-at-exit(B2)={v0, sp, f0}\n\
+    \  live-at-exit(B3)={v0, sp, f0}\n\
+     leaf:\n\
+    \  call-used={ra}\n\
+    \  call-defined={}\n\
+    \  call-killed={}\n\
+    \  live-at-entry(leaf$entry)={v0, ra, sp, f0}\n\
+    \  live-at-exit(B0)={v0, ra, sp, f0}\n"
+    text
+
 let () =
   Alcotest.run "core-units"
     [
@@ -502,5 +549,6 @@ let () =
         [
           Alcotest.test_case "psg stats" `Quick test_psg_stats;
           Alcotest.test_case "multiple entries" `Quick test_multi_entry_summaries;
+          Alcotest.test_case "summary text" `Quick test_summary_text;
         ] );
     ]

@@ -160,7 +160,7 @@ let prop_opt_preserves_outcome =
 
 (* External-summary files must round-trip through their concrete syntax:
    the sets are rebuilt from rendered register names, so this exercises
-   name/of_name agreement for every register, empty sets, and inputs that
+   name/spelling agreement for every register, empty sets, and inputs that
    list the same register more than once (sets collapse them). *)
 let arbitrary_summaries =
   let open QCheck.Gen in

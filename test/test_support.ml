@@ -265,28 +265,6 @@ let scc_properties =
                    preds)
                (Array.init scc.Scc.count Fun.id)
                scc.Scc.preds);
-      qcheck_scc "topological respects cross-component edges" (fun succs ->
-          let scc = Scc.compute ~succs in
-          let n = Array.length succs in
-          let order = Scc.topological scc in
-          let pos = Array.make n (-1) in
-          List.iteri (fun k v -> pos.(v) <- k) order;
-          List.length order = n
-          && Array.for_all (fun p -> p >= 0) pos
-          && begin
-               let ok = ref true in
-               Array.iteri
-                 (fun u ds ->
-                   Array.iter
-                     (fun v ->
-                       if
-                         scc.Scc.comp_of.(u) <> scc.Scc.comp_of.(v)
-                         && pos.(v) > pos.(u)
-                       then ok := false)
-                     ds)
-                 succs;
-               !ok
-             end);
     ]
 
 let test_scc_basics () =
